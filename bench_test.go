@@ -635,8 +635,16 @@ func BenchmarkParetoExtract(b *testing.B) {
 // with backfill, and the virtual clock — rather than the per-job core
 // simulations the real surfaces memoize. Metric: completed jobs per
 // simulated day on the cluster.
-func BenchmarkFleetSimulate(b *testing.B) {
-	traceJobs := fleet.SyntheticTrace(100)
+func BenchmarkFleetSimulate(b *testing.B) { benchFleet(b, 100) }
+
+// BenchmarkFleetSimulate4000 is BenchmarkFleetSimulate at the 4,000-job
+// scale of a long trace, where the device-centric pods build a deep backlog:
+// the admission scan and the completion order, not the per-point set-up,
+// set its cost, so a scheduler that grows faster than linearly shows here.
+func BenchmarkFleetSimulate4000(b *testing.B) { benchFleet(b, 4000) }
+
+func benchFleet(b *testing.B, jobs int) {
+	traceJobs := fleet.SyntheticTrace(jobs)
 	cluster := fleet.Cluster{Name: "mix", Pods: []fleet.PodSpec{
 		{Kind: "DC-DLA", Count: 2},
 		{Kind: "MC-DLA(B)", Count: 2},

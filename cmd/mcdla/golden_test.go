@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/memcentric/mcdla/internal/core"
 	"github.com/memcentric/mcdla/internal/dse"
 	"github.com/memcentric/mcdla/internal/experiments"
 )
@@ -153,6 +155,21 @@ func TestUnknownSubcommandErrors(t *testing.T) {
 	}
 	if err := run(context.Background(), nil); err == nil {
 		t.Fatal("missing subcommand did not error")
+	}
+}
+
+// TestRunUnbuildableTopologyErrors pins that an MC-DLA(S) point its folded
+// topology cannot lay out fails the run with a typed error instead of a
+// panic, so the process exits non-zero with a message.
+func TestRunUnbuildableTopologyErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"run", "-design", "MC-DLA(S)", "-links", "8"},
+		{"run", "-design", "MC-DLA(S)", "-workers", "4"},
+	} {
+		var te *core.TopologyError
+		if err := run(context.Background(), args); !errors.As(err, &te) {
+			t.Errorf("mcdla %s: error %v, want a core.TopologyError", strings.Join(args, " "), err)
+		}
 	}
 }
 

@@ -279,6 +279,10 @@ func DesignFor(name string, dev accel.Config, workers int) (Design, error) {
 	case "HC-DLA":
 		return NewHCDLA(dev, workers), nil
 	case "MC-DLA(S)":
+		p := topo.Params{Devices: workers, LinksN: dev.Links, LinkBW: dev.LinkBW}
+		if err := p.Validate(); err != nil {
+			return Design{}, &TopologyError{Design: name, Err: err}
+		}
 		return NewMCDLAS(dev, workers), nil
 	case "MC-DLA(L)":
 		return NewMCDLAL(dev, workers), nil
@@ -289,6 +293,18 @@ func DesignFor(name string, dev accel.Config, workers int) (Design, error) {
 	}
 	return Design{}, fmt.Errorf("core: unknown design %q", name)
 }
+
+// TopologyError reports a design point whose interconnect the structural
+// topology builders cannot lay out: the folded MC-DLA(S) network of Figure
+// 7(a,b) exists only for 8 devices with N=6 links.
+type TopologyError struct {
+	Design string
+	Err    error
+}
+
+func (e *TopologyError) Error() string { return fmt.Sprintf("core: %s: %v", e.Design, e.Err) }
+
+func (e *TopologyError) Unwrap() error { return e.Err }
 
 // Validate reports configuration errors.
 func (d Design) Validate() error {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"github.com/memcentric/mcdla/internal/accel"
@@ -310,6 +312,31 @@ func TestDesignByName(t *testing.T) {
 	}
 	if _, err := DesignByName("XC-DLA"); err == nil {
 		t.Error("expected error for unknown design")
+	}
+}
+
+// TestDesignForUnbuildableTopology pins the folded MC-DLA(S) interconnect's
+// limits as a typed error, not a panic: it exists only for 8 devices with
+// N=6 links, while the ring designs take any link count.
+func TestDesignForUnbuildableTopology(t *testing.T) {
+	eight := accel.Default()
+	eight.Links = 8
+	for _, tc := range []struct {
+		dev     accel.Config
+		workers int
+		want    string
+	}{
+		{eight, 8, "N=6 links, got 8"},
+		{accel.Default(), 4, "8 devices, got 4"},
+	} {
+		_, err := DesignFor("MC-DLA(S)", tc.dev, tc.workers)
+		var te *TopologyError
+		if !errors.As(err, &te) || te.Design != "MC-DLA(S)" || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("DesignFor(MC-DLA(S), %d links, %d workers) error = %v, want a TopologyError naming %q", tc.dev.Links, tc.workers, err, tc.want)
+		}
+	}
+	if _, err := DesignFor("MC-DLA(B)", eight, 8); err != nil {
+		t.Errorf("MC-DLA(B) with 8 links: %v", err)
 	}
 }
 

@@ -2,7 +2,8 @@ package dnn
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Graph is a network's data-dependency DAG in topological order (builders
@@ -78,14 +79,10 @@ func (g *Graph) MajorLayers() int {
 // WeightGroupBytes returns the unique parameter groups of the model and
 // their byte sizes. Shared recurrent weights count once.
 func (g *Graph) WeightGroupBytes() map[string]int64 {
-	groups := make(map[string]int64)
-	for _, l := range g.Layers {
-		if l.WeightGroup == "" {
-			continue
-		}
-		if _, seen := groups[l.WeightGroup]; !seen {
-			groups[l.WeightGroup] = l.WeightBytes()
-		}
+	heads := g.groupHeads()
+	groups := make(map[string]int64, len(heads))
+	for _, i := range heads {
+		groups[g.Layers[i].WeightGroup] = g.Layers[i].WeightBytes()
 	}
 	return groups
 }
@@ -93,10 +90,39 @@ func (g *Graph) WeightGroupBytes() map[string]int64 {
 // TotalWeightBytes reports the model's parameter footprint (unique groups).
 func (g *Graph) TotalWeightBytes() int64 {
 	var total int64
-	for _, b := range g.WeightGroupBytes() {
-		total += b
+	for _, i := range g.groupHeads() {
+		total += g.Layers[i].WeightBytes()
 	}
 	return total
+}
+
+// groupHeads returns, for every unique weight group, the index of the first
+// layer that reads it, ordered by group name.
+func (g *Graph) groupHeads() []int {
+	heads := make([]int, 0, len(g.Layers))
+	for i, l := range g.Layers {
+		if l.WeightGroup == "" {
+			continue
+		}
+		// Unrolled recurrent cells repeat one group back to back; dropping
+		// the repeats here keeps the sort below short.
+		if n := len(heads); n > 0 && g.Layers[heads[n-1]].WeightGroup == l.WeightGroup {
+			continue
+		}
+		heads = append(heads, i)
+	}
+	// Stable, so each group's first layer leads its run.
+	slices.SortStableFunc(heads, func(a, b int) int {
+		return strings.Compare(g.Layers[a].WeightGroup, g.Layers[b].WeightGroup)
+	})
+	n := 0
+	for _, i := range heads {
+		if n == 0 || g.Layers[heads[n-1]].WeightGroup != g.Layers[i].WeightGroup {
+			heads[n] = i
+			n++
+		}
+	}
+	return heads[:n]
 }
 
 // TotalFeatureMapBytes reports the sum of all layer output footprints — the
@@ -113,7 +139,7 @@ func (g *Graph) TotalFeatureMapBytes() int64 {
 // the backing store per iteration: the inputs of every expensive layer plus
 // their extra backward state, counting each producer tensor once.
 func (g *Graph) StashBytes() int64 {
-	stashed := make(map[int]bool)
+	stashed := make([]bool, len(g.Layers))
 	var total int64
 	for _, l := range g.Layers {
 		if !l.Kind.Expensive() {
@@ -208,11 +234,10 @@ func (g *Graph) Summary() string {
 // SortedWeightGroups returns the unique weight group names in deterministic
 // order (the order dW collectives are issued under data-parallel training).
 func (g *Graph) SortedWeightGroups() []string {
-	groups := g.WeightGroupBytes()
-	names := make([]string, 0, len(groups))
-	for n := range groups {
-		names = append(names, n)
+	heads := g.groupHeads()
+	names := make([]string, len(heads))
+	for k, i := range heads {
+		names[k] = g.Layers[i].WeightGroup
 	}
-	sort.Strings(names)
 	return names
 }

@@ -1,6 +1,8 @@
 package dnn
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -343,5 +345,48 @@ func TestGraphSummaryMentionsName(t *testing.T) {
 	g := MustBuild("VGG-E", 4)
 	if s := g.Summary(); len(s) == 0 || s[:5] != "VGG-E" {
 		t.Fatalf("summary = %q", s)
+	}
+}
+
+// TestWeightGroupAccounting pins TotalWeightBytes, WeightGroupBytes and
+// SortedWeightGroups to the first-seen-group definition, written here with a
+// map: on every benchmark and on a hand graph whose shared groups interleave
+// and whose repeat readers report different sizes.
+func TestWeightGroupAccounting(t *testing.T) {
+	graphs := []*Graph{{Name: "interleaved", Layers: []*Layer{
+		{WeightGroup: "b", WeightElems: 3},
+		{WeightGroup: "a", WeightElems: 5},
+		{WeightGroup: "b", WeightElems: 7},
+		{},
+		{WeightGroup: "a", WeightElems: 11},
+		{WeightGroup: "c", WeightElems: 13},
+		{WeightGroup: "c", WeightElems: 17},
+	}}}
+	for _, name := range append(BenchmarkNames(), TransformerNames()...) {
+		graphs = append(graphs, MustBuild(name, 8))
+	}
+	for _, g := range graphs {
+		want := map[string]int64{}
+		var total int64
+		for _, l := range g.Layers {
+			if _, seen := want[l.WeightGroup]; l.WeightGroup != "" && !seen {
+				want[l.WeightGroup] = l.WeightBytes()
+				total += l.WeightBytes()
+			}
+		}
+		if got := g.TotalWeightBytes(); got != total {
+			t.Errorf("%s: TotalWeightBytes = %d, want %d", g.Name, got, total)
+		}
+		if got := g.WeightGroupBytes(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: WeightGroupBytes = %v, want %v", g.Name, got, want)
+		}
+		names := make([]string, 0, len(want))
+		for n := range want {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		if got := g.SortedWeightGroups(); !reflect.DeepEqual(got, names) {
+			t.Errorf("%s: SortedWeightGroups = %v, want %v", g.Name, got, names)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -117,6 +118,7 @@ type Result struct {
 // pod is the scheduler's mutable per-pod state.
 type pod struct {
 	name      string
+	kind      int         // index into the cluster's distinct pod kinds
 	capacity  units.Bytes // pool bytes; math.MaxInt64 for an unbounded pool
 	freeBytes units.Bytes
 	freeDev   int
@@ -129,9 +131,41 @@ type running struct {
 	finish units.Time
 }
 
-// simPoint is the simulation identity of one trace job on one pod kind.
-func simPoint(j Job, kind string) string {
-	return fmt.Sprintf("%s|%s|%d|%d|%d|%d|%d", kind, j.Workload, j.Strategy, j.Batch, j.Devices, j.SeqLen, j.Precision)
+// finishHeap holds the in-service jobs as a min-heap on finish time, so the
+// next completion is always at its root.
+type finishHeap []running
+
+func (h finishHeap) Len() int           { return len(h) }
+func (h finishHeap) Less(a, b int) bool { return h[a].finish < h[b].finish }
+func (h finishHeap) Swap(a, b int)      { h[a], h[b] = h[b], h[a] }
+func (h *finishHeap) Push(x any)        { *h = append(*h, x.(running)) }
+func (h *finishHeap) Pop() any {
+	old := *h
+	r := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return r
+}
+
+// point is the simulation identity of a trace job: jobs with equal points
+// share one schedule, one footprint and one simulation per pod kind.
+type point struct {
+	workload  string
+	strategy  train.Strategy
+	batch     int
+	devices   int
+	seqLen    int
+	precision train.Precision
+}
+
+// pointQueue is one point's demand and its FIFO of waiting jobs. Jobs of a
+// point need equal devices and bytes, so they fit or fail together.
+type pointQueue struct {
+	devices   int
+	footprint units.Bytes
+	waiting   []int // arrival ranks (indices into the arrival order), FIFO
+	// blocked marks a point whose head failed to fit since the last
+	// completion.
+	blocked bool
 }
 
 // Footprint reports the job's resident pool demand: every device stashes its
@@ -156,6 +190,11 @@ func Footprint(j Job, s *train.Schedule) units.Bytes {
 // A job that cannot fit even an empty pod — more devices than a pod has, or
 // a footprint above every pod's pool — is refused at arrival; everything
 // else is guaranteed to complete. The virtual clock never reads wall time.
+//
+// The loop grows near-linearly with the trace: a completion costs O(log
+// active), and a placement attempt costs O(points with waiting jobs), never
+// O(waiting jobs). An event makes one attempt per job it places plus at
+// most one per point that fails, and none once every device is busy.
 func Run(ctx context.Context, cluster Cluster, trace []Job, m cost.Model, sim Simulator) (*Result, error) {
 	if err := cluster.Validate(); err != nil {
 		return nil, err
@@ -168,9 +207,12 @@ func Run(ctx context.Context, cluster Cluster, trace []Job, m cost.Model, sim Si
 	}
 	trace = NormalizeTrace(trace)
 
-	// Pod state and cluster bill. A zero pool (the oracle's fictional
-	// infinite memory) schedules as unbounded.
+	// Pod state, the cluster bill and the distinct pod kinds in spec order
+	// (a cluster may list one kind in several specs). A zero pool (the
+	// oracle's fictional infinite memory) schedules as unbounded.
 	var pods []pod
+	var kinds []string
+	kindIdx := map[string]int{}
 	var clusterUSD float64
 	for _, spec := range cluster.Pods {
 		d, err := core.DesignFor(spec.Kind, accel.Default(), PodWorkers)
@@ -182,9 +224,16 @@ func Run(ctx context.Context, cluster Cluster, trace []Job, m cost.Model, sim Si
 			capacity = units.Bytes(math.MaxInt64)
 		}
 		clusterUSD += m.Price(d).Total() * float64(spec.Count)
+		k, ok := kindIdx[spec.Kind]
+		if !ok {
+			k = len(kinds)
+			kindIdx[spec.Kind] = k
+			kinds = append(kinds, spec.Kind)
+		}
 		for i := 0; i < spec.Count; i++ {
 			pods = append(pods, pod{
 				name:      fmt.Sprintf("%s/%d", spec.Kind, i),
+				kind:      k,
 				capacity:  capacity,
 				freeBytes: capacity,
 				freeDev:   PodWorkers,
@@ -192,44 +241,44 @@ func Run(ctx context.Context, cluster Cluster, trace []Job, m cost.Model, sim Si
 		}
 	}
 
-	// Footprints (one schedule build per distinct workload point) and the
-	// prefetched simulation grid (one runner job per distinct trace-point ×
-	// pod-kind, in first-appearance order so the grid is deterministic).
-	footprints := make([]units.Bytes, len(trace))
-	scheds := map[string]*train.Schedule{}
+	// The prefetched simulation grid. Each distinct point builds one
+	// schedule, computes one footprint and appends one runner job per pod
+	// kind, in first-appearance order so the grid is deterministic; the
+	// simulation of job ji on kind k is therefore grid entry
+	// pointOf[ji]*len(kinds)+k.
+	pointOf := make([]int, len(trace))
+	pointIdx := map[point]int{}
+	var points []pointQueue
 	var grid []runner.Job
-	gridIdx := map[string]int{}
-	for i, j := range trace {
+	for i := range trace {
+		j := &trace[i]
 		if j.Devices > PodWorkers {
-			continue // refused at arrival; never simulated
+			pointOf[i] = -1 // refused at arrival; never simulated
+			continue
 		}
-		sk := simPoint(j, "")
-		s, ok := scheds[sk]
+		key := point{j.Workload, j.Strategy, j.Batch, j.Devices, j.SeqLen, j.Precision}
+		p, ok := pointIdx[key]
 		if !ok {
-			var err error
-			s, err = train.BuildSeq(j.Workload, j.Batch, j.Devices, j.Strategy, j.SeqLen, j.Precision)
+			s, err := train.BuildSeq(j.Workload, j.Batch, j.Devices, j.Strategy, j.SeqLen, j.Precision)
 			if err != nil {
 				return nil, fmt.Errorf("fleet: job %q: %v", j.Name, err)
 			}
-			scheds[sk] = s
-		}
-		footprints[i] = Footprint(j, s)
-		for _, spec := range cluster.Pods {
-			pk := simPoint(j, spec.Kind)
-			if _, ok := gridIdx[pk]; ok {
-				continue
+			p = len(points)
+			pointIdx[key] = p
+			points = append(points, pointQueue{devices: j.Devices, footprint: Footprint(*j, s)})
+			for _, kind := range kinds {
+				d, err := core.DesignFor(kind, accel.Default(), j.Devices)
+				if err != nil {
+					return nil, fmt.Errorf("fleet: cluster %q: %v", cluster.Name, err)
+				}
+				grid = append(grid, runner.Job{
+					Design: d, Workload: j.Workload, Strategy: j.Strategy,
+					Batch: j.Batch, Workers: j.Devices, SeqLen: j.SeqLen,
+					Precision: j.Precision, Tag: "fleet",
+				})
 			}
-			d, err := core.DesignFor(spec.Kind, accel.Default(), j.Devices)
-			if err != nil {
-				return nil, fmt.Errorf("fleet: cluster %q: %v", cluster.Name, err)
-			}
-			gridIdx[pk] = len(grid)
-			grid = append(grid, runner.Job{
-				Design: d, Workload: j.Workload, Strategy: j.Strategy,
-				Batch: j.Batch, Workers: j.Devices, SeqLen: j.SeqLen,
-				Precision: j.Precision, Tag: "fleet",
-			})
 		}
+		pointOf[i] = p
 	}
 	results, err := sim(ctx, grid)
 	if err != nil {
@@ -237,18 +286,6 @@ func Run(ctx context.Context, cluster Cluster, trace []Job, m cost.Model, sim Si
 	}
 	if len(results) != len(grid) {
 		return nil, fmt.Errorf("fleet: cluster %q: simulator returned %d results for %d jobs", cluster.Name, len(results), len(grid))
-	}
-	iterTime := func(jobIdx, podIdx int) (units.Time, error) {
-		kind := podKind(cluster, podIdx)
-		gi, ok := gridIdx[simPoint(trace[jobIdx], kind)]
-		if !ok {
-			return 0, fmt.Errorf("fleet: cluster %q: no simulation for job %q on %s", cluster.Name, trace[jobIdx].Name, kind)
-		}
-		t := results[gi].IterationTime
-		if t <= 0 {
-			return 0, fmt.Errorf("fleet: cluster %q: nonpositive iteration time for job %q on %s", cluster.Name, trace[jobIdx].Name, kind)
-		}
-		return t, nil
 	}
 
 	// Arrival order: stable by arrival time, trace order on ties.
@@ -274,7 +311,10 @@ func Run(ctx context.Context, cluster Cluster, trace []Job, m cost.Model, sim Si
 		CostUSD:      clusterUSD,
 	}
 	for i, j := range trace {
-		res.Outcomes[i] = Outcome{Job: j, Footprint: footprints[i]}
+		res.Outcomes[i] = Outcome{Job: j}
+		if p := pointOf[i]; p >= 0 {
+			res.Outcomes[i].Footprint = points[p].footprint
+		}
 	}
 
 	// The event loop. Completions at time t free resources before arrivals
@@ -283,35 +323,40 @@ func Run(ctx context.Context, cluster Cluster, trace []Job, m cost.Model, sim Si
 	var (
 		now     units.Time
 		arrived int
-		queue   []int // waiting job indices, FIFO
-		active  []running
+		active  finishHeap
+		done    []int
+		live    []int // points with waiting jobs
+		idleDev = res.TotalDevices
 	)
 	for arrived < len(order) || len(active) > 0 {
 		next := units.Time(math.Inf(1))
 		if arrived < len(order) {
 			next = trace[order[arrived]].Arrival
 		}
-		for _, r := range active {
-			next = units.MinTime(next, r.finish)
+		if len(active) > 0 {
+			next = units.MinTime(next, active[0].finish)
 		}
 		if next < now {
 			return nil, fmt.Errorf("fleet: cluster %q: virtual clock regressed from %v to %v", cluster.Name, now, next)
 		}
 		now = next
 
-		// Completions at now, in trace order for determinism.
-		var done []int
-		rest := active[:0]
-		for _, r := range active {
-			if r.finish == now {
-				done = append(done, r.jobIdx)
-				pods[r.podIdx].freeDev += trace[r.jobIdx].Devices
-				pods[r.podIdx].freeBytes += footprints[r.jobIdx]
-			} else {
-				rest = append(rest, r)
+		// Completions at now, in trace order for determinism. Freed
+		// resources unblock every waiting point.
+		done = done[:0]
+		for len(active) > 0 && active[0].finish == now {
+			r := heap.Pop(&active).(running)
+			done = append(done, r.jobIdx)
+			p := &points[pointOf[r.jobIdx]]
+			pods[r.podIdx].freeDev += p.devices
+			pods[r.podIdx].freeBytes += p.footprint
+			idleDev += p.devices
+		}
+		if len(done) > 0 {
+			for _, p := range live {
+				points[p].blocked = false
 			}
 		}
-		active = rest
 		sort.Ints(done)
 		for _, ji := range done {
 			o := &res.Outcomes[ji]
@@ -328,53 +373,77 @@ func Run(ctx context.Context, cluster Cluster, trace []Job, m cost.Model, sim Si
 		// Arrivals at now. Jobs that fit no empty pod are refused for good.
 		for arrived < len(order) && trace[order[arrived]].Arrival == now {
 			ji := order[arrived]
-			arrived++
-			j := trace[ji]
 			o := &res.Outcomes[ji]
 			switch {
-			case j.Devices > PodWorkers:
-				o.Refused = fmt.Sprintf("needs %d devices; pods have %d", j.Devices, PodWorkers)
-			case footprints[ji] > maxPool:
-				o.Refused = fmt.Sprintf("footprint %v exceeds largest pod pool %v", footprints[ji], maxPool)
+			case o.Job.Devices > PodWorkers:
+				o.Refused = fmt.Sprintf("needs %d devices; pods have %d", o.Job.Devices, PodWorkers)
+				res.Refused++
+			case o.Footprint > maxPool:
+				o.Refused = fmt.Sprintf("footprint %v exceeds largest pod pool %v", o.Footprint, maxPool)
+				res.Refused++
 			default:
-				queue = append(queue, ji)
-				continue
+				p := &points[pointOf[ji]]
+				if len(p.waiting) == 0 {
+					live = append(live, pointOf[ji])
+				}
+				p.waiting = append(p.waiting, arrived)
 			}
-			res.Refused++
+			arrived++
 		}
 
-		// First-fit admission with backfill: the FIFO queue is scanned in
-		// order, each job against pods in cluster order.
-		rest2 := queue[:0]
-		for _, ji := range queue {
-			j := trace[ji]
+		// First-fit admission with backfill: waiting jobs are tried in
+		// arrival order, each against pods in cluster order, by merging the
+		// heads of the per-point FIFOs. Pods only lose devices and bytes
+		// between completions, so once a point's head fails to fit, every
+		// job of that point fails until a completion unblocks it; without a
+		// completion, only points that gained arrivals are tried at all.
+		for idleDev > 0 {
+			at := -1
+			for i, p := range live {
+				if points[p].blocked {
+					continue
+				}
+				if at < 0 || points[p].waiting[0] < points[live[at]].waiting[0] {
+					at = i
+				}
+			}
+			if at < 0 {
+				break
+			}
+			p := &points[live[at]]
+			ji := order[p.waiting[0]]
 			placed := -1
 			for pi := range pods {
-				if pods[pi].freeDev >= j.Devices && pods[pi].freeBytes >= footprints[ji] {
+				if pods[pi].freeDev >= p.devices && pods[pi].freeBytes >= p.footprint {
 					placed = pi
 					break
 				}
 			}
 			if placed < 0 {
-				rest2 = append(rest2, ji)
+				p.blocked = true
 				continue
 			}
-			it, err := iterTime(ji, placed)
-			if err != nil {
-				return nil, err
+			pd := &pods[placed]
+			it := results[pointOf[ji]*len(kinds)+pd.kind].IterationTime
+			if it <= 0 {
+				return nil, fmt.Errorf("fleet: cluster %q: nonpositive iteration time for job %q on %s", cluster.Name, trace[ji].Name, kinds[pd.kind])
 			}
-			pods[placed].freeDev -= j.Devices
-			pods[placed].freeBytes -= footprints[ji]
-			service := units.Time(float64(j.Iters) * it.Seconds())
+			if p.waiting = p.waiting[1:]; len(p.waiting) == 0 {
+				live[at] = live[len(live)-1]
+				live = live[:len(live)-1]
+			}
+			pd.freeDev -= p.devices
+			pd.freeBytes -= p.footprint
+			idleDev -= p.devices
 			o := &res.Outcomes[ji]
+			service := units.Time(float64(o.Job.Iters) * it.Seconds())
 			o.Admitted = true
-			o.Pod = pods[placed].name
+			o.Pod = pd.name
 			o.Start = now
-			o.QueueDelay = now - j.Arrival
+			o.QueueDelay = now - o.Job.Arrival
 			o.Service = service
-			active = append(active, running{jobIdx: ji, podIdx: placed, finish: now + service})
+			heap.Push(&active, running{jobIdx: ji, podIdx: placed, finish: now + service})
 		}
-		queue = rest2
 	}
 
 	// Summary metrics over admitted jobs.
@@ -397,15 +466,4 @@ func Run(ctx context.Context, cluster Cluster, trace []Job, m cost.Model, sim Si
 	}
 	res.JobsPerDayPerKUSD = cost.PerfPerDollar(res.JobsPerDay, res.CostUSD)
 	return res, nil
-}
-
-// podKind maps a flat pod index back to its spec's design name.
-func podKind(c Cluster, podIdx int) string {
-	for _, spec := range c.Pods {
-		if podIdx < spec.Count {
-			return spec.Kind
-		}
-		podIdx -= spec.Count
-	}
-	return ""
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -322,4 +324,407 @@ func TestFootprintAccounting(t *testing.T) {
 	if got := Footprint(jm, mp); got != wantMP {
 		t.Fatalf("mp footprint %v, want %v", got, wantMP)
 	}
+}
+
+// TestRunMatchesReference is the differential test: over seeded traces with
+// arrival ties, equal finish times, refusals for width and for pool capacity,
+// and clusters from one pod to four kinds (the oracle's unbounded pool and a
+// kind listed twice among them), Run must reproduce referenceRun outcome for
+// outcome, summary float for summary float, and error for error.
+func TestRunMatchesReference(t *testing.T) {
+	clusters := []Cluster{
+		{Name: "one-dc", Pods: []PodSpec{{Kind: "DC-DLA", Count: 1}}},
+		{Name: "one-mc", Pods: []PodSpec{{Kind: "MC-DLA(B)", Count: 1}}},
+		testCluster(),
+		{Name: "four-kinds", Pods: []PodSpec{
+			{Kind: "DC-DLA", Count: 1},
+			{Kind: "HC-DLA", Count: 2},
+			{Kind: "MC-DLA(B)", Count: 1},
+			{Kind: "DC-DLA(O)", Count: 1},
+			{Kind: "DC-DLA", Count: 1},
+		}},
+	}
+	for _, seed := range []int64{1, 2, 3, 4, 5, 6} {
+		trace := tiedTrace(seed, 150+50*int(seed%3))
+		for _, c := range clusters {
+			t.Run(fmt.Sprintf("seed%d/%s", seed, c.Name), func(t *testing.T) {
+				if err := assertMatchesReference(t, c, trace, quantizedSim); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+	// Completions sharing an instant are accounted in trace order: jobs of
+	// 1, 2 and 4 devices finish together, and their busy device-seconds
+	// (0.1, 0.2 and 0.4) sum to different floats in different orders.
+	tenth := func(_ context.Context, jobs []runner.Job) ([]core.Result, error) {
+		out := make([]core.Result, len(jobs))
+		for i := range out {
+			out[i].IterationTime = units.Seconds(0.1)
+		}
+		return out, nil
+	}
+	for _, perm := range [][]int{{1, 2, 4}, {1, 4, 2}, {2, 1, 4}, {2, 4, 1}, {4, 1, 2}, {4, 2, 1}} {
+		trace := []Job{{Workload: "AlexNet", Devices: PodWorkers + 1}}
+		for _, dev := range perm {
+			trace = append(trace, Job{Workload: "AlexNet", Devices: dev, Iters: 1})
+		}
+		if err := assertMatchesReference(t, clusters[1], NormalizeTrace(trace), tenth); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Error parity: a kind whose simulated iteration time is zero fails at
+	// the first admission onto it, naming the same job in both.
+	zeroHC := func(ctx context.Context, jobs []runner.Job) ([]core.Result, error) {
+		out, err := quantizedSim(ctx, jobs)
+		for i, j := range jobs {
+			if j.Design.Name == "HC-DLA" {
+				out[i].IterationTime = 0
+			}
+		}
+		return out, err
+	}
+	if err := assertMatchesReference(t, clusters[3], tiedTrace(7, 120), zeroHC); err == nil {
+		t.Fatal("zero iteration time on HC-DLA was accepted")
+	}
+}
+
+// assertMatchesReference runs both schedulers and returns the reference's
+// error, which Run must have matched.
+func assertMatchesReference(t *testing.T, c Cluster, trace []Job, sim Simulator) error {
+	t.Helper()
+	ctx := context.Background()
+	want, wantErr := referenceRun(ctx, c, trace, cost.Default(), sim)
+	got, gotErr := Run(ctx, c, trace, cost.Default(), sim)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("error %v, reference %v", gotErr, wantErr)
+	}
+	if wantErr != nil {
+		return wantErr
+	}
+	if want.Refused == 0 || want.Completed == 0 {
+		t.Fatalf("trace exercises too little: %d completed, %d refused", want.Completed, want.Refused)
+	}
+	for i := range want.Outcomes {
+		if !reflect.DeepEqual(got.Outcomes[i], want.Outcomes[i]) {
+			t.Fatalf("outcome %d:\n got  %+v\n want %+v", i, got.Outcomes[i], want.Outcomes[i])
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("summary diverged:\n got  %+v\n want %+v", *got, *want)
+	}
+	return nil
+}
+
+// quantizedSim returns iteration times from a four-value menu, so jobs with
+// equal iteration counts finish at the same instant.
+func quantizedSim(_ context.Context, jobs []runner.Job) ([]core.Result, error) {
+	out := make([]core.Result, len(jobs))
+	for i, j := range jobs {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%s|%s|%d|%d|%d|%d|%d", j.Design.Name, j.Workload, j.Strategy, j.Batch, j.Workers, j.SeqLen, j.Precision)
+		out[i] = core.Result{IterationTime: units.Seconds(0.1 * float64(1+h.Sum64()%4))}
+	}
+	return out, nil
+}
+
+// tiedTrace builds a seeded trace whose arrivals fall on a coarse grid (many
+// ties) and whose iteration counts come from a short menu (many equal finish
+// times). It mixes over-wide jobs with GPT-2 points whose footprint exceeds a
+// device-centric pool.
+func tiedTrace(seed int64, n int) []Job {
+	rng := rand.New(rand.NewSource(seed))
+	workloads := []string{"AlexNet", "ResNet", "RNN-GRU", "RNN-LSTM-2", "BERT-Large", "GPT-2"}
+	jobs := make([]Job, n)
+	for i := range jobs {
+		w := workloads[rng.Intn(len(workloads))]
+		j := Job{
+			Workload: w,
+			Arrival:  units.Seconds(float64(10 * rng.Intn(n/3))),
+			Iters:    []int{10, 20, 30, 40, 60}[rng.Intn(5)],
+			Devices:  []int{1, 2, 4, 8}[rng.Intn(4)],
+			Batch:    []int{256, 512}[rng.Intn(2)],
+		}
+		switch w {
+		case "BERT-Large":
+			j.SeqLen, j.Precision = 512, train.Mixed
+		case "GPT-2":
+			j.SeqLen, j.Precision, j.Devices = 1024, train.Mixed, 8
+		}
+		if rng.Intn(3) == 0 {
+			j.Strategy = train.ModelParallel
+		}
+		if rng.Intn(25) == 0 {
+			j.Devices = PodWorkers + 1 + rng.Intn(4)
+		}
+		if rng.Intn(4) == 0 {
+			j.Deadline = j.Arrival + units.Seconds(float64(20*rng.Intn(30)))
+		}
+		jobs[i] = j
+	}
+	return NormalizeTrace(jobs)
+}
+
+// referenceRun is the straightforward form of Run that the differential
+// test holds it to: it recomputes the footprint of every job, keys the
+// simulation grid by formatted strings, searches all active jobs for the
+// next finish and rescans the whole queue at every event.
+func referenceRun(ctx context.Context, cluster Cluster, trace []Job, m cost.Model, sim Simulator) (*Result, error) {
+	if err := cluster.Validate(); err != nil {
+		return nil, err
+	}
+	if len(trace) == 0 {
+		return nil, fmt.Errorf("fleet: cluster %q: empty trace", cluster.Name)
+	}
+	if sim == nil {
+		return nil, fmt.Errorf("fleet: cluster %q: nil simulator", cluster.Name)
+	}
+	trace = NormalizeTrace(trace)
+
+	// Pod state and cluster bill. A zero pool (the oracle's fictional
+	// infinite memory) schedules as unbounded.
+	var pods []pod
+	var clusterUSD float64
+	for _, spec := range cluster.Pods {
+		d, err := core.DesignFor(spec.Kind, accel.Default(), PodWorkers)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: cluster %q: %v", cluster.Name, err)
+		}
+		capacity := m.PoolCapacity(d)
+		if capacity <= 0 {
+			capacity = units.Bytes(math.MaxInt64)
+		}
+		clusterUSD += m.Price(d).Total() * float64(spec.Count)
+		for i := 0; i < spec.Count; i++ {
+			pods = append(pods, pod{
+				name:      fmt.Sprintf("%s/%d", spec.Kind, i),
+				capacity:  capacity,
+				freeBytes: capacity,
+				freeDev:   PodWorkers,
+			})
+		}
+	}
+
+	// Footprints (one schedule build per distinct workload point) and the
+	// prefetched simulation grid (one runner job per distinct trace-point ×
+	// pod-kind, in first-appearance order so the grid is deterministic).
+	footprints := make([]units.Bytes, len(trace))
+	scheds := map[string]*train.Schedule{}
+	var grid []runner.Job
+	gridIdx := map[string]int{}
+	for i, j := range trace {
+		if j.Devices > PodWorkers {
+			continue // refused at arrival; never simulated
+		}
+		sk := simPoint(j, "")
+		s, ok := scheds[sk]
+		if !ok {
+			var err error
+			s, err = train.BuildSeq(j.Workload, j.Batch, j.Devices, j.Strategy, j.SeqLen, j.Precision)
+			if err != nil {
+				return nil, fmt.Errorf("fleet: job %q: %v", j.Name, err)
+			}
+			scheds[sk] = s
+		}
+		footprints[i] = Footprint(j, s)
+		for _, spec := range cluster.Pods {
+			pk := simPoint(j, spec.Kind)
+			if _, ok := gridIdx[pk]; ok {
+				continue
+			}
+			d, err := core.DesignFor(spec.Kind, accel.Default(), j.Devices)
+			if err != nil {
+				return nil, fmt.Errorf("fleet: cluster %q: %v", cluster.Name, err)
+			}
+			gridIdx[pk] = len(grid)
+			grid = append(grid, runner.Job{
+				Design: d, Workload: j.Workload, Strategy: j.Strategy,
+				Batch: j.Batch, Workers: j.Devices, SeqLen: j.SeqLen,
+				Precision: j.Precision, Tag: "fleet",
+			})
+		}
+	}
+	results, err := sim(ctx, grid)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: cluster %q: %v", cluster.Name, err)
+	}
+	if len(results) != len(grid) {
+		return nil, fmt.Errorf("fleet: cluster %q: simulator returned %d results for %d jobs", cluster.Name, len(results), len(grid))
+	}
+	iterTime := func(jobIdx, podIdx int) (units.Time, error) {
+		kind := podKind(cluster, podIdx)
+		gi, ok := gridIdx[simPoint(trace[jobIdx], kind)]
+		if !ok {
+			return 0, fmt.Errorf("fleet: cluster %q: no simulation for job %q on %s", cluster.Name, trace[jobIdx].Name, kind)
+		}
+		t := results[gi].IterationTime
+		if t <= 0 {
+			return 0, fmt.Errorf("fleet: cluster %q: nonpositive iteration time for job %q on %s", cluster.Name, trace[jobIdx].Name, kind)
+		}
+		return t, nil
+	}
+
+	// Arrival order: stable by arrival time, trace order on ties.
+	order := make([]int, len(trace))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return trace[order[a]].Arrival < trace[order[b]].Arrival
+	})
+
+	maxPool := units.Bytes(0)
+	for _, p := range pods {
+		if p.capacity > maxPool {
+			maxPool = p.capacity
+		}
+	}
+
+	res := &Result{
+		Cluster:      cluster,
+		TotalDevices: len(pods) * PodWorkers,
+		Outcomes:     make([]Outcome, len(trace)),
+		CostUSD:      clusterUSD,
+	}
+	for i, j := range trace {
+		res.Outcomes[i] = Outcome{Job: j, Footprint: footprints[i]}
+	}
+
+	// The event loop. Completions at time t free resources before arrivals
+	// at t queue, and admission runs after both, so a departing job's pod is
+	// immediately reusable within the same instant.
+	var (
+		now     units.Time
+		arrived int
+		queue   []int // waiting job indices, FIFO
+		active  []running
+	)
+	for arrived < len(order) || len(active) > 0 {
+		next := units.Time(math.Inf(1))
+		if arrived < len(order) {
+			next = trace[order[arrived]].Arrival
+		}
+		for _, r := range active {
+			next = units.MinTime(next, r.finish)
+		}
+		if next < now {
+			return nil, fmt.Errorf("fleet: cluster %q: virtual clock regressed from %v to %v", cluster.Name, now, next)
+		}
+		now = next
+
+		// Completions at now, in trace order for determinism.
+		var done []int
+		rest := active[:0]
+		for _, r := range active {
+			if r.finish == now {
+				done = append(done, r.jobIdx)
+				pods[r.podIdx].freeDev += trace[r.jobIdx].Devices
+				pods[r.podIdx].freeBytes += footprints[r.jobIdx]
+			} else {
+				rest = append(rest, r)
+			}
+		}
+		active = rest
+		sort.Ints(done)
+		for _, ji := range done {
+			o := &res.Outcomes[ji]
+			o.Finish = now
+			if o.Job.Deadline > 0 && o.Finish > o.Job.Deadline {
+				o.Missed = true
+				res.Missed++
+			}
+			res.Completed++
+			res.BusyDeviceTime += units.Time(float64(o.Job.Devices) * o.Service.Seconds())
+			res.Makespan = units.MaxTime(res.Makespan, o.Finish)
+		}
+
+		// Arrivals at now. Jobs that fit no empty pod are refused for good.
+		for arrived < len(order) && trace[order[arrived]].Arrival == now {
+			ji := order[arrived]
+			arrived++
+			j := trace[ji]
+			o := &res.Outcomes[ji]
+			switch {
+			case j.Devices > PodWorkers:
+				o.Refused = fmt.Sprintf("needs %d devices; pods have %d", j.Devices, PodWorkers)
+			case footprints[ji] > maxPool:
+				o.Refused = fmt.Sprintf("footprint %v exceeds largest pod pool %v", footprints[ji], maxPool)
+			default:
+				queue = append(queue, ji)
+				continue
+			}
+			res.Refused++
+		}
+
+		// First-fit admission with backfill: the FIFO queue is scanned in
+		// order, each job against pods in cluster order.
+		rest2 := queue[:0]
+		for _, ji := range queue {
+			j := trace[ji]
+			placed := -1
+			for pi := range pods {
+				if pods[pi].freeDev >= j.Devices && pods[pi].freeBytes >= footprints[ji] {
+					placed = pi
+					break
+				}
+			}
+			if placed < 0 {
+				rest2 = append(rest2, ji)
+				continue
+			}
+			it, err := iterTime(ji, placed)
+			if err != nil {
+				return nil, err
+			}
+			pods[placed].freeDev -= j.Devices
+			pods[placed].freeBytes -= footprints[ji]
+			service := units.Time(float64(j.Iters) * it.Seconds())
+			o := &res.Outcomes[ji]
+			o.Admitted = true
+			o.Pod = pods[placed].name
+			o.Start = now
+			o.QueueDelay = now - j.Arrival
+			o.Service = service
+			active = append(active, running{jobIdx: ji, podIdx: placed, finish: now + service})
+		}
+		queue = rest2
+	}
+
+	// Summary metrics over admitted jobs.
+	admitted := 0
+	var delaySum units.Time
+	for _, o := range res.Outcomes {
+		if !o.Admitted {
+			continue
+		}
+		admitted++
+		delaySum += o.QueueDelay
+		res.MaxQueueDelay = units.MaxTime(res.MaxQueueDelay, o.QueueDelay)
+	}
+	if admitted > 0 {
+		res.AvgQueueDelay = units.Time(delaySum.Seconds() / float64(admitted))
+	}
+	if span := res.Makespan.Seconds(); span > 0 {
+		res.Utilization = res.BusyDeviceTime.Seconds() / (float64(res.TotalDevices) * span)
+		res.JobsPerDay = float64(res.Completed) / (span / 86400)
+	}
+	res.JobsPerDayPerKUSD = cost.PerfPerDollar(res.JobsPerDay, res.CostUSD)
+	return res, nil
+}
+
+// simPoint is the simulation identity of one trace job on one pod kind.
+func simPoint(j Job, kind string) string {
+	return fmt.Sprintf("%s|%s|%d|%d|%d|%d|%d", kind, j.Workload, j.Strategy, j.Batch, j.Devices, j.SeqLen, j.Precision)
+}
+
+// podKind maps a flat pod index back to its spec's design name.
+func podKind(c Cluster, podIdx int) string {
+	for _, spec := range c.Pods {
+		if podIdx < spec.Count {
+			return spec.Kind
+		}
+		podIdx -= spec.Count
+	}
+	return ""
 }

@@ -472,14 +472,16 @@ func (m *jobsManager) serveEvents(w http.ResponseWriter, r *http.Request, id str
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported by this connection"))
 		return
 	}
+	// Subscribe before the comment goes out: a client that sees the comment
+	// may start the job at once, and nothing it publishes may be missed.
+	ch := m.subscribe(id)
+	defer m.unsubscribe(id, ch)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintf(w, ": job %s\n\n", id)
 	fl.Flush()
 
-	ch := m.subscribe(id)
-	defer m.unsubscribe(id, ch)
 	// Every event is stamped with the subscriber's request id and the job's
 	// content hash, so log lines, metrics and SSE streams join on one key.
 	rid := requestID(r.Context())

@@ -214,6 +214,10 @@ func TestBadParamsNameTheParameter(t *testing.T) {
 		"/v1/explore?gbps=0":       "gbps",
 		"/v1/transformer?seqlens=": "",
 		"/v1/run?format=yaml":      "format",
+		// The folded MC-DLA(S) topology exists only for 8 devices, 6 links.
+		"/v1/run?design=MC-DLA(S)&links=8":            "N=6 links",
+		"/v1/run?design=MC-DLA(S)&workers=4":          "8 devices",
+		"/v1/run?design=MC-DLA(S)&links=8&timeline=1": "N=6 links",
 	} {
 		status, body := get(t, ts.URL+url)
 		if url == "/v1/transformer?seqlens=" {

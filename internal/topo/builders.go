@@ -20,18 +20,28 @@ func DefaultParams() Params {
 	return Params{Devices: 8, LinksN: 6, LinkBW: units.GBps(25)}
 }
 
-func (p Params) validate() {
+// Validate reports whether the structural builders can lay out p: the
+// Figure 5/7 ring constructions are specified for 8 devices with N=6 links;
+// the collective and system models generalize, but the structural
+// topologies are the paper's.
+func (p Params) Validate() error {
 	if p.Devices != 8 {
-		// The Figure 5/7 ring constructions are specified for 8 devices;
-		// the collective and system models generalize, but the structural
-		// topologies are the paper's.
-		panic(fmt.Sprintf("topo: builders require 8 devices, got %d", p.Devices))
+		return fmt.Errorf("topo: builders require 8 devices, got %d", p.Devices)
 	}
 	if p.LinksN != 6 {
-		panic(fmt.Sprintf("topo: builders require N=6 links, got %d", p.LinksN))
+		return fmt.Errorf("topo: builders require N=6 links, got %d", p.LinksN)
 	}
 	if p.LinkBW <= 0 {
-		panic("topo: link bandwidth must be positive")
+		return fmt.Errorf("topo: link bandwidth must be positive")
+	}
+	return nil
+}
+
+// validate panics on parameters Validate rejects; callers taking outside
+// input check Validate first.
+func (p Params) validate() {
+	if err := p.Validate(); err != nil {
+		panic(err.Error())
 	}
 }
 
